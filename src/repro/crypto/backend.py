@@ -9,8 +9,12 @@ interchangeable at the byte level, and the test suite cross-validates them.
 Besides the per-message primitives, every backend exposes *batch* entry
 points shaped for round processing (see :mod:`repro.crypto.batch_kernels`):
 one AEAD nonce and many keys, one X25519 scalar and many points (peel), many
-scalars and one point (wrap).  The pure-Python backend vectorizes these; the
-``cryptography`` backend loops natively in C with per-round object reuse.
+scalars and one point, and the *ephemeral* shape of an onion wrap layer: many
+fresh scalars, each yielding both its public key and its shared secret with
+one peer point.  The pure-Python backend vectorizes these (the ephemeral
+shape is two passes of the many-scalars kernel, one against the base point);
+the ``cryptography`` backend loops natively in C with per-round object reuse
+and loads each ephemeral scalar once for both of its outputs.
 
 The active backend can be forced with :func:`set_backend`, which is used by
 the tests and by the crypto micro-benchmarks to measure both paths.
@@ -48,8 +52,15 @@ class Backend:
     ]
     #: ``[X25519(k, u) for u in us]`` — the server-side peel shape.
     x25519_fixed_scalar_batch: Callable[[bytes, Sequence[bytes]], "list[bytes]"]
-    #: ``[X25519(k, u) for k in ks]`` — the client/noise wrap shape.
+    #: ``[X25519(k, u) for k in ks]`` — many scalars, one point.
     x25519_fixed_point_batch: Callable[[Sequence[bytes], bytes], "list[bytes]"]
+    #: ``(publics, shareds)`` with ``publics[i] = X25519(ks[i], 9)`` and
+    #: ``shareds[i] = X25519(ks[i], u)`` — the client/noise wrap shape, one
+    #: fresh ephemeral key per onion layer.  A small-order ``u`` yields
+    #: all-zero shareds, as in the other batch shapes.
+    x25519_ephemeral_batch: Callable[
+        [Sequence[bytes], bytes], "tuple[list[bytes], list[bytes]]"
+    ]
 
 
 def _pure_aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
@@ -149,6 +160,7 @@ _PURE_BACKEND = Backend(
     aead_open_batch=_pure_aead_open_batch,
     x25519_fixed_scalar_batch=_batch.x25519_fixed_scalar_batch,
     x25519_fixed_point_batch=_batch.x25519_fixed_point_batch,
+    x25519_ephemeral_batch=_batch.x25519_ephemeral_batch,
 )
 
 
@@ -161,6 +173,7 @@ def _build_cryptography_backend() -> Backend | None:
             X25519PublicKey,
         )
         from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+        from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
     except ImportError:  # pragma: no cover - exercised only without the package
         return None
 
@@ -169,13 +182,13 @@ def _build_cryptography_backend() -> Backend | None:
         public = X25519PublicKey.from_public_bytes(u)
         return private.exchange(public)
 
-    def scalar_base_mult(k: bytes) -> bytes:
-        private = X25519PrivateKey.from_private_bytes(k)
-        from cryptography.hazmat.primitives import serialization
+    def public_bytes(private: X25519PrivateKey) -> bytes:
+        # Loading a private key already derives its public half, so this is
+        # a copy out, not another scalar multiply.
+        return private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
-        return private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+    def scalar_base_mult(k: bytes) -> bytes:
+        return public_bytes(X25519PrivateKey.from_private_bytes(k))
 
     def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad or None)
@@ -224,6 +237,8 @@ def _build_cryptography_backend() -> Backend | None:
         return out
 
     def fixed_point_batch(ks: Sequence[bytes], u: bytes) -> list[bytes]:
+        if bytes(u) == _x25519.BASE_POINT:
+            return [scalar_base_mult(bytes(k)) for k in ks]
         public = X25519PublicKey.from_public_bytes(bytes(u))
         out: list[bytes] = []
         for k in ks:
@@ -232,6 +247,23 @@ def _build_cryptography_backend() -> Backend | None:
             except ValueError:
                 out.append(b"\x00" * 32)
         return out
+
+    def ephemeral_batch(
+        ks: Sequence[bytes], u: bytes
+    ) -> tuple[list[bytes], list[bytes]]:
+        # One key load per scalar serves both outputs: the load computes the
+        # public key, and the exchange is the only other ladder.
+        peer = X25519PublicKey.from_public_bytes(bytes(u))
+        publics: list[bytes] = []
+        shareds: list[bytes] = []
+        for k in ks:
+            private = X25519PrivateKey.from_private_bytes(bytes(k))
+            publics.append(public_bytes(private))
+            try:
+                shareds.append(private.exchange(peer))
+            except ValueError:
+                shareds.append(b"\x00" * 32)
+        return publics, shareds
 
     return Backend(
         name=CRYPTOGRAPHY,
@@ -243,6 +275,7 @@ def _build_cryptography_backend() -> Backend | None:
         aead_open_batch=aead_open_batch,
         x25519_fixed_scalar_batch=fixed_scalar_batch,
         x25519_fixed_point_batch=fixed_point_batch,
+        x25519_ephemeral_batch=ephemeral_batch,
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
-from .x25519 import A24, P, clamp_scalar, scalar_mult
+from .x25519 import A24, BASE_POINT, P, clamp_scalar, scalar_mult
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy as _np
@@ -492,3 +492,12 @@ def x25519_fixed_point_batch(ks: Sequence[bytes], u: bytes) -> list[bytes]:
     if HAVE_NUMPY and len(ks) >= MIN_NUMPY_BATCH:
         return _np_x25519_fixed_point(ks, u)
     return [scalar_mult(bytes(k), bytes(u)) for k in ks]
+
+
+def x25519_ephemeral_batch(
+    ks: Sequence[bytes], u: bytes
+) -> tuple[list[bytes], list[bytes]]:
+    """``(publics, shareds)`` for fresh ephemeral scalars ``ks`` against ``u``:
+    the many-scalars kernel run once against the base point, once against
+    ``u``."""
+    return x25519_fixed_point_batch(ks, BASE_POINT), x25519_fixed_point_batch(ks, u)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from . import x25519
 from .backend import active_backend
-from .keys import KEY_SIZE, KeyPair, PrivateKey, PublicKey
+from .keys import KEY_SIZE, PrivateKey, PublicKey
 from .rng import RandomSource, default_random
 from .secretbox import (
     TAG_SIZE,
@@ -96,20 +96,26 @@ def wrap_request(
     if not server_public_keys:
         raise OnionError("cannot wrap a request for an empty server chain")
     rng = rng or default_random()
+    backend = active_backend()
 
     layer_keys: list[bytes] = [b""] * len(server_public_keys)
     payload = inner
     # Encrypt from the last server towards the first, so the first server
     # holds the outermost layer.
     for index in range(len(server_public_keys) - 1, -1, -1):
-        ephemeral = KeyPair.generate(rng)
-        shared = ephemeral.exchange(server_public_keys[index])
+        # The ephemeral scalar is drawn exactly as KeyPair.generate draws it;
+        # the kernel derives its public key and shared secret in one pass.
+        (public,), (shared,) = backend.x25519_ephemeral_batch(
+            [rng.random_bytes(KEY_SIZE)], server_public_keys[index].data
+        )
+        if x25519.is_all_zero(shared):
+            raise OnionError("X25519 exchange produced an all-zero shared secret")
         # Wrap side: fresh ephemeral secret, nothing to memoize (see
         # derive_layer_keys on why clients must not populate the cache).
         request_key, response_key = derive_layer_keys(shared, cached=False)
         layer_keys[index] = response_key
         box = seal(request_key, nonce_for_round(round_number, _REQUEST_LABEL), payload)
-        payload = bytes(ephemeral.public) + box
+        payload = public + box
 
     return payload, OnionContext(round_number=round_number, layer_keys=tuple(layer_keys))
 
@@ -146,12 +152,12 @@ def wrap_request_batch(
     """Onion-encrypt many payloads for the same chain in one pass per layer.
 
     This is the shape of a server's per-round cover traffic: the chain-suffix
-    key list is fixed, so each layer does one batched base-point multiply
-    (the fresh ephemeral public keys), one batched exchange against the one
-    server key, and one batched seal under the shared round nonce.  For a
-    single payload the rng draws match :func:`wrap_request` exactly, so the
-    two paths are byte-identical; for larger batches the draws are made
-    layer-major instead of message-major.
+    key list is fixed, so each layer does one batched ephemeral-key pass (the
+    fresh public keys and their exchanges against the one server key, see
+    ``Backend.x25519_ephemeral_batch``) and one batched seal under the shared
+    round nonce.  For a single payload the rng draws match
+    :func:`wrap_request` exactly, so the two paths are byte-identical; for
+    larger batches the draws are made layer-major instead of message-major.
 
     ``scalars`` — a pre-drawn matrix from :func:`draw_request_scalars` (or a
     per-message slice of one) — replaces the internal rng draws entirely,
@@ -178,8 +184,7 @@ def wrap_request_batch(
             if scalars is not None
             else [rng.random_bytes(KEY_SIZE) for _ in range(count)]
         )
-        publics = backend.x25519_fixed_point_batch(layer_scalars, x25519.BASE_POINT)
-        shareds = backend.x25519_fixed_point_batch(
+        publics, shareds = backend.x25519_ephemeral_batch(
             layer_scalars, server_public_keys[index].data
         )
         request_keys = []

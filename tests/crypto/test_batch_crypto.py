@@ -11,10 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import DeterministicRandom, derive_layer_keys, key_from_shared_secret
+from repro.crypto import (
+    DeterministicRandom,
+    KeyPair,
+    PublicKey,
+    derive_layer_keys,
+    key_from_shared_secret,
+    wrap_request,
+    wrap_request_batch,
+)
 from repro.crypto import batch_kernels, chacha20, x25519
 from repro.crypto.backend import CRYPTOGRAPHY, available_backends, set_backend
 from repro.crypto.secretbox import open_box_batch, seal_batch
+from repro.errors import OnionError
 
 # RFC 8439 section 2.8.2 AEAD vector.
 AEAD_KEY = bytes.fromhex(
@@ -194,6 +203,41 @@ class TestX25519Kernels:
         if batch_kernels.HAVE_NUMPY:
             assert batch_kernels._np_x25519_fixed_scalar(k, [u]) == [x25519.scalar_mult(k, u)]
             assert batch_kernels._np_x25519_fixed_point([k], u) == [x25519.scalar_mult(k, u)]
+
+
+# Small-order points: the exchange against them is all zeros for any scalar.
+SMALL_ORDER_POINTS = [bytes(32), (1).to_bytes(32, "little")]
+
+
+class TestEphemeralBatch:
+    """``x25519_ephemeral_batch``: one pass yields what two fixed-point
+    passes (base point, then peer) would, on every backend."""
+
+    @pytest.mark.parametrize("count", [0, 1, batch_kernels.MIN_NUMPY_BATCH + 2])
+    def test_matches_two_fixed_point_passes(self, backend, rng, count):
+        ks = [rng.random_bytes(32) for _ in range(count)]
+        u = rng.random_bytes(32)
+        publics, shareds = backend.x25519_ephemeral_batch(ks, u)
+        assert publics == backend.x25519_fixed_point_batch(ks, x25519.BASE_POINT)
+        assert shareds == backend.x25519_fixed_point_batch(ks, u)
+        # And against the reference ladder, independently of either batch.
+        assert publics[:4] == [x25519.scalar_base_mult(k) for k in ks[:4]]
+        assert shareds[:4] == [x25519.scalar_mult(k, u) for k in ks[:4]]
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS, ids=["zero", "one"])
+    def test_small_order_peer_gives_all_zero_shareds(self, backend, rng, point):
+        ks = [rng.random_bytes(32) for _ in range(3)]
+        publics, shareds = backend.x25519_ephemeral_batch(ks, point)
+        assert shareds == [bytes(32)] * 3
+        assert publics == [x25519.scalar_base_mult(k) for k in ks]
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS, ids=["zero", "one"])
+    def test_wraps_refuse_a_small_order_server_key(self, backend, rng, point):
+        servers = [KeyPair.generate(rng).public, PublicKey(point)]
+        with pytest.raises(OnionError):
+            wrap_request_batch([b"payload"] * 3, servers, 0, rng)
+        with pytest.raises(OnionError):
+            wrap_request(b"payload", servers, 0, rng)
 
 
 class TestDerivedKeyCache:
